@@ -22,6 +22,7 @@ import (
 	"tangledmass/internal/certgen"
 	"tangledmass/internal/certid"
 	"tangledmass/internal/chain"
+	"tangledmass/internal/corpus"
 	"tangledmass/internal/device"
 	"tangledmass/internal/mitm"
 	"tangledmass/internal/netalyzr"
@@ -330,12 +331,14 @@ func ablationChainSetup(b *testing.B) (roots, inters, leaves []*x509.Certificate
 }
 
 // BenchmarkAblationChainIndexed validates 64 leaves with the subject-indexed
-// path builder...
+// path builder. Each iteration interns into a fresh corpus, so its
+// signature memo starts cold and the ablation compares cold work against
+// the unmemoized NaiveVerifier...
 func BenchmarkAblationChainIndexed(b *testing.B) {
 	roots, inters, leaves := ablationChainSetup(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		v := chain.NewVerifier(roots, inters, certgen.Epoch)
+		v := chain.NewVerifierIn(corpus.New(), roots, inters, certgen.Epoch)
 		for _, l := range leaves {
 			v.Validates(l)
 		}

@@ -26,6 +26,14 @@
 // interning in different orders number the same certificates differently.
 // Never order output by Ref — sort by fingerprint or identity, as the
 // deterministic layers do.
+//
+// # Signature memo
+//
+// CheckSignature verifies each (child, parent) signature edge at most once
+// per corpus. Because a Ref pins content, the outcome is a pure function of
+// the pair, so every chain verifier, pool and policy over the corpus
+// shares one memo; it grows with the edges examined, as the table grows
+// with the certificates interned.
 package corpus
 
 import (
@@ -35,6 +43,7 @@ import (
 	"encoding/hex"
 	"encoding/pem"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -90,32 +99,47 @@ type Entry struct {
 // Corpus is a concurrency-safe intern table. Construct with New, or use
 // the process-wide Shared table. The zero value is not usable.
 type Corpus struct {
-	id      uint64
-	mu      sync.RWMutex
-	byHash  map[Digest]Ref
-	entries atomic.Pointer[[]*Entry] // copy-on-write snapshot for lock-free reads
-	byPtr   sync.Map                 // *x509.Certificate → Ref, the repeat-observation fast path
+	id     uint64
+	mu     sync.RWMutex
+	byHash map[Digest]Ref
+	// entries is the published prefix of the append-only entry table.
+	// Writers append under mu (into spare capacity when there is some) and
+	// store the longer header; readers index only below the length they
+	// loaded, which no writer ever touches again, so reads need no lock.
+	entries atomic.Pointer[[]*Entry]
+	byPtr   sync.Map // *x509.Certificate → Ref, the repeat-observation fast path
 
-	nInterned atomic.Int64
-	nHits     atomic.Int64
-	nBytes    atomic.Int64
+	// sigs memoizes signature checks by (child, parent) edge; see
+	// CheckSignature.
+	sigMu sync.Mutex
+	sigs  map[sigEdge]*sigResult
 
-	interned *obs.Counter
-	hits     *obs.Counter
-	bytesC   *obs.Counter
+	nInterned    atomic.Int64
+	nHits        atomic.Int64
+	nBytes       atomic.Int64
+	nSigVerified atomic.Int64
+	nSigHits     atomic.Int64
+
+	interned    *obs.Counter
+	hits        *obs.Counter
+	bytesC      *obs.Counter
+	sigVerified *obs.Counter
+	sigHits     *obs.Counter
 }
 
 // Option configures a Corpus at construction.
 type Option func(*Corpus)
 
 // WithObserver attaches the corpus.* counters (interned certificates,
-// intern hits, interned DER bytes) to the given observer. Nil observers
-// no-op.
+// intern hits, interned DER bytes, signature verifications and signature
+// memo hits) to the given observer. Nil observers no-op.
 func WithObserver(o *obs.Observer) Option {
 	return func(c *Corpus) {
 		c.interned = o.Counter(KeyInterned)
 		c.hits = o.Counter(KeyHits)
 		c.bytesC = o.Counter(KeyBytes)
+		c.sigVerified = o.Counter(KeySigVerify)
+		c.sigHits = o.Counter(KeySigHit)
 	}
 }
 
@@ -124,7 +148,7 @@ var nextID atomic.Uint64
 
 // New returns an empty corpus.
 func New(opts ...Option) *Corpus {
-	c := &Corpus{id: nextID.Add(1), byHash: make(map[Digest]Ref)}
+	c := &Corpus{id: nextID.Add(1), byHash: make(map[Digest]Ref), sigs: make(map[sigEdge]*sigResult)}
 	empty := make([]*Entry, 0)
 	c.entries.Store(&empty)
 	for _, opt := range opts {
@@ -194,8 +218,7 @@ func (c *Corpus) InternChain(chain []*x509.Certificate) []Ref {
 
 // InternAll interns a batch of encodings in one table transaction. Digests
 // are checked against the table first, only genuinely new content is
-// parsed, and every new entry lands in a single copy-on-write append — n
-// new certificates cost one entries-slice copy instead of n. This is the
+// parsed, and every new entry is appended under one lock hold. This is the
 // bulk path for loaders that materialize a whole deduplicated DER table at
 // once (dataset columnar files, notary snapshots).
 func (c *Corpus) InternAll(ders [][]byte) ([]Ref, error) {
@@ -235,38 +258,18 @@ func (c *Corpus) InternAll(ders [][]byte) ([]Ref, error) {
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	entries := *c.entries.Load()
-	next := make([]*Entry, len(entries), len(entries)+len(miss))
-	copy(next, entries)
+	entries := slices.Grow(*c.entries.Load(), len(miss))
 	for k, i := range miss {
-		sum := sums[i]
-		if ref, ok := c.byHash[sum]; ok {
+		if ref, ok := c.byHash[sums[i]]; ok {
 			// Inserted by a concurrent intern or an earlier batch duplicate.
 			refs[i] = ref
 			c.hit()
 			continue
 		}
-		cert := certs[k]
-		e := &Entry{
-			Ref:         Ref(len(next) + 1),
-			DER:         owned[k],
-			Cert:        cert,
-			Identity:    certid.Identity{Subject: certid.SubjectString(cert), Key: certid.KeyIdentity(cert)},
-			SHA1:        certid.SHA1Fingerprint(cert),
-			SHA256:      sum.Hex(),
-			MD5:         certid.MD5Fingerprint(cert),
-			SubjectHash: certid.SubjectHash32(cert),
-			Digest:      sum,
-		}
-		next = append(next, e)
-		c.byHash[sum] = e.Ref
-		refs[i] = e.Ref
-		c.nInterned.Add(1)
-		c.nBytes.Add(int64(len(e.DER)))
-		c.interned.Inc()
-		c.bytesC.Add(int64(len(e.DER)))
+		entries = c.appendLocked(entries, sums[i], owned[k], certs[k])
+		refs[i] = Ref(len(entries))
 	}
-	c.entries.Store(&next)
+	c.entries.Store(&entries)
 	return refs, nil
 }
 
@@ -279,7 +282,16 @@ func (c *Corpus) insert(sum Digest, der []byte, cert *x509.Certificate) Ref {
 		c.hit()
 		return ref
 	}
-	entries := *c.entries.Load()
+	entries := c.appendLocked(*c.entries.Load(), sum, der, cert)
+	c.entries.Store(&entries)
+	return Ref(len(entries))
+}
+
+// appendLocked appends a new entry to entries and indexes it, returning
+// the longer slice for the caller to publish. append writes only past the
+// published length, so concurrent readers of the old header are
+// unaffected. Callers hold c.mu.
+func (c *Corpus) appendLocked(entries []*Entry, sum Digest, der []byte, cert *x509.Certificate) []*Entry {
 	e := &Entry{
 		Ref:         Ref(len(entries) + 1),
 		DER:         der,
@@ -291,16 +303,12 @@ func (c *Corpus) insert(sum Digest, der []byte, cert *x509.Certificate) Ref {
 		SubjectHash: certid.SubjectHash32(cert),
 		Digest:      sum,
 	}
-	next := make([]*Entry, len(entries)+1)
-	copy(next, entries)
-	next[len(entries)] = e
-	c.entries.Store(&next)
 	c.byHash[sum] = e.Ref
 	c.nInterned.Add(1)
 	c.nBytes.Add(int64(len(der)))
 	c.interned.Inc()
 	c.bytesC.Add(int64(len(der)))
-	return e.Ref
+	return append(entries, e)
 }
 
 func (c *Corpus) hit() {
@@ -367,6 +375,50 @@ func (c *Corpus) Certs(refs []Ref) []*x509.Certificate {
 	return out
 }
 
+// sigEdge is one (child, parent) signature check.
+type sigEdge struct{ child, parent Ref }
+
+// sigResult is one memoized edge outcome. once makes the verification run
+// at most once even when goroutines race to examine a new edge.
+type sigResult struct {
+	once sync.Once
+	ok   bool
+}
+
+// CheckSignature reports whether parent's key verifies child's signature
+// (x509.Certificate.CheckSignatureFrom), running the check at most once per
+// (child, parent) pair in this corpus; acceptances and rejections are both
+// memoized. The outcome depends only on the two certificates' bytes, which
+// a Ref pins, so every verifier, pool and policy over the corpus can share
+// it. Refs from another corpus report false.
+func (c *Corpus) CheckSignature(child, parent Ref) bool {
+	cc, pc := c.Cert(child), c.Cert(parent)
+	if cc == nil || pc == nil {
+		return false
+	}
+	k := sigEdge{child, parent}
+	c.sigMu.Lock()
+	r := c.sigs[k]
+	if r == nil {
+		r = new(sigResult)
+		c.sigs[k] = r
+	}
+	c.sigMu.Unlock()
+	verified := false
+	r.once.Do(func() {
+		r.ok = cc.CheckSignatureFrom(pc) == nil
+		verified = true
+	})
+	if verified {
+		c.nSigVerified.Add(1)
+		c.sigVerified.Inc()
+	} else {
+		c.nSigHits.Add(1)
+		c.sigHits.Inc()
+	}
+	return r.ok
+}
+
 // Len returns the number of distinct certificates interned.
 func (c *Corpus) Len() int { return len(*c.entries.Load()) }
 
@@ -379,11 +431,22 @@ type Stats struct {
 	Hits int64
 	// Bytes is the total DER bytes owned by the table.
 	Bytes int64
+	// SigVerified counts signature checks CheckSignature actually ran: one
+	// per distinct (child, parent) edge examined.
+	SigVerified int64
+	// SigHits counts CheckSignature calls answered from the memo.
+	SigHits int64
 }
 
 // Stats returns the cumulative tallies.
 func (c *Corpus) Stats() Stats {
-	return Stats{Interned: c.nInterned.Load(), Hits: c.nHits.Load(), Bytes: c.nBytes.Load()}
+	return Stats{
+		Interned:    c.nInterned.Load(),
+		Hits:        c.nHits.Load(),
+		Bytes:       c.nBytes.Load(),
+		SigVerified: c.nSigVerified.Load(),
+		SigHits:     c.nSigHits.Load(),
+	}
 }
 
 const pemCertType = "CERTIFICATE"

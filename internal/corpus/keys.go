@@ -9,4 +9,9 @@ const (
 	KeyHits = "corpus.hit"
 	// KeyBytes accumulates the DER bytes owned by the table.
 	KeyBytes = "corpus.bytes"
+	// KeySigVerify counts signature checks run: one per distinct
+	// (child, parent) edge examined.
+	KeySigVerify = "corpus.sig.verify"
+	// KeySigHit counts signature checks answered from the memo.
+	KeySigHit = "corpus.sig.hit"
 )

@@ -130,7 +130,7 @@ func WithPins(p trusteval.PinChecker) Option {
 }
 
 // WithEngine shares an externally-built trust-evaluation engine (and its
-// verifier memo / chain cache) across sessions. The default builds a
+// chain cache) across sessions. The default builds a
 // per-client engine from the client's validation time, pins and observer.
 func WithEngine(e *trusteval.Engine) Option {
 	return func(c *Client) { c.engine = e }

@@ -441,7 +441,10 @@ type LeafAttribution struct {
 // issuer edge); leaves are independent, so they fan across the parallel
 // engine, answering repeated (pool, leaf) lookups from the chain cache.
 // The verifier is safe for concurrent use: its indexes are read-only
-// after construction and the signature cache is lock-protected.
+// after construction, and signature checks go through the corpus's
+// concurrency-safe per-edge memo, so a later call over a different union
+// (Table 3, then the Figure 3 categories) re-verifies no edge an earlier
+// call already checked.
 func (n *Notary) AttributeLeaves(stores []*rootstore.Store, leaves []corpus.Ref) []LeafAttribution {
 	union := rootstore.Union("union", stores...)
 	cas := n.observedCARefs()

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"tangledmass/internal/cauniverse"
 	"tangledmass/internal/certgen"
@@ -257,6 +258,32 @@ func TestServerCloseIdempotent(t *testing.T) {
 	}
 	if _, err := NewClient(context.Background(), srv.Addr(), WithRetryPolicy(quickRetry())); err == nil {
 		t.Error("dial after close should fail")
+	}
+}
+
+// TestServerCloseUnblocksIdleClient: Close returns promptly while a sensor
+// is attached and idle, instead of waiting out the server's read deadline.
+func TestServerCloseUnblocksIdleClient(t *testing.T) {
+	srv, _ := startServer(t)
+	c, err := NewClient(context.Background(), srv.Addr(), WithRetryPolicy(quickRetry()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	// One round trip guarantees the handler is registered and now blocked
+	// reading the next request.
+	if _, err := c.Stats(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- srv.Close() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Close blocked on an idle client for over 1s")
 	}
 }
 

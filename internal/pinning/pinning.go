@@ -115,9 +115,11 @@ func (e *ErrPinMismatch) Error() string {
 // host with no pins passes vacuously — pinning is opt-in per app. A pinned
 // host passes if any chain certificate's key matches any pin.
 func (s *Store) Check(host string, chain []*x509.Certificate) error {
+	// The pin set is the live map Add writes to, so the read lock covers
+	// every lookup in it, not just fetching it.
 	s.mu.RLock()
+	defer s.mu.RUnlock()
 	set := s.pins[host]
-	s.mu.RUnlock()
 	if len(set) == 0 {
 		return nil
 	}

@@ -3,9 +3,6 @@ package trusteval
 import (
 	"crypto/x509"
 	"errors"
-	"strconv"
-	"strings"
-	"sync"
 	"time"
 
 	"tangledmass/internal/certid"
@@ -59,8 +56,9 @@ type Verdict struct {
 
 // Engine evaluates connections. Construct with New; the zero value is not
 // usable. An Engine is safe for concurrent use and is meant to be shared:
-// its verifier memo and (optional) chain cache amortize pool indexing and
-// path building across probes that see the same stores.
+// its (optional) chain cache amortizes path building across probes that
+// see the same stores, and the stores' corpus memoizes every signature
+// check.
 type Engine struct {
 	at        time.Time
 	reference *rootstore.Store
@@ -72,19 +70,7 @@ type Engine struct {
 	rejected  *obs.Counter
 	overrides *obs.Counter
 	causes    map[Cause]*obs.Counter
-
-	// verifiers memoizes constructed verifiers by trust configuration
-	// (store content + presented intermediates). Campaign sessions probe
-	// several targets against one effective store; the memo makes the
-	// second probe reuse the first probe's indexed pool.
-	mu        sync.Mutex
-	verifiers map[string]*chain.Verifier
 }
-
-// maxVerifierMemo bounds the verifier memo; reaching it clears the map
-// (the memo is a per-session working set, not a long-lived cache — the
-// chain.Cache carries cross-session reuse).
-const maxVerifierMemo = 256
 
 // Option configures an Engine.
 type Option func(*Engine)
@@ -131,7 +117,7 @@ func WithObserver(o *obs.Observer) Option {
 
 // New returns an Engine evaluating validity at the instant at.
 func New(at time.Time, opts ...Option) *Engine {
-	e := &Engine{at: at, verifiers: make(map[string]*chain.Verifier)}
+	e := &Engine{at: at}
 	for _, opt := range opts {
 		opt(e)
 	}
@@ -140,34 +126,6 @@ func New(at time.Time, opts ...Option) *Engine {
 
 // At returns the reference instant used for validity checks.
 func (e *Engine) At() time.Time { return e.at }
-
-// verifierFor returns a (possibly memoized) verifier trusting the store's
-// membership and able to cross the given intermediate handles.
-func (e *Engine) verifierFor(s *rootstore.Store, inters []corpus.Ref) *chain.Verifier {
-	var key strings.Builder
-	key.WriteString(s.ContentKey())
-	key.WriteByte('|')
-	key.WriteString(strconv.FormatUint(s.Corpus().ID(), 10))
-	for _, r := range inters {
-		key.WriteByte(',')
-		key.WriteString(strconv.FormatUint(uint64(r), 10))
-	}
-	k := key.String()
-	e.mu.Lock()
-	v, ok := e.verifiers[k]
-	e.mu.Unlock()
-	if ok {
-		return v
-	}
-	v = chain.NewVerifierFromStore(s, inters, e.at)
-	e.mu.Lock()
-	if len(e.verifiers) >= maxVerifierMemo {
-		e.verifiers = make(map[string]*chain.Verifier)
-	}
-	e.verifiers[k] = v
-	e.mu.Unlock()
-	return v
-}
 
 // internChain interns the presented intermediates into the store's corpus
 // and returns (leaf ref, intermediate refs).
@@ -202,7 +160,7 @@ func (e *Engine) Evaluate(req Request) Verdict {
 	}
 	leaf := req.Chain[0]
 	leafRef, inters := internChain(req.Store, req.Chain)
-	ver := e.verifierFor(req.Store, inters)
+	ver := chain.NewVerifierFromStore(req.Store, inters, e.at)
 	v.RootIDs = e.cache.ValidatingRootsRef(ver, leafRef)
 	chainOK := len(v.RootIDs) > 0
 
@@ -212,7 +170,7 @@ func (e *Engine) Evaluate(req Request) Verdict {
 		v.Chain = OutcomePass
 		if e.reference != nil {
 			refLeaf, refInters := internChain(e.reference, req.Chain)
-			refVer := e.verifierFor(e.reference, refInters)
+			refVer := chain.NewVerifierFromStore(e.reference, refInters, e.at)
 			v.AnchoredInReference = len(e.cache.ValidatingRootsRef(refVer, refLeaf)) > 0
 			sig.StoreTampered = !v.AnchoredInReference
 		}
