@@ -12,6 +12,7 @@ import (
 	"tangledmass/internal/certgen"
 	"tangledmass/internal/notary"
 	"tangledmass/internal/notarynet"
+	"tangledmass/internal/obs"
 )
 
 // lifecycleChains builds a few observation chains for daemon tests.
@@ -218,5 +219,47 @@ func TestDaemonInMemoryMode(t *testing.T) {
 	}
 	if stats.Sessions != 1 {
 		t.Fatalf("sessions = %d, want 1", stats.Sessions)
+	}
+}
+
+// TestDaemonCloseDrainsUnderIdleTap: a tap sensor holds one notarynet
+// client for its whole life and is idle between sightings. Shutting the
+// daemon down must not wait out that connection's read deadline: Close
+// (drain, final checkpoint, journal release) finishes within a second.
+func TestDaemonCloseDrainsUnderIdleTap(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "notary-data")
+	chains := lifecycleChains(t, 2)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+
+	d := bootTestDaemon(t, dir)
+	// The client exactly as cmd/tapd builds it.
+	tapClient, err := notarynet.NewClient(ctx, d.srv.Addr(), notarynet.WithObserver(obs.New()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tapClient.Close()
+	for _, chain := range chains {
+		if err := tapClient.Observe(ctx, chain, 443); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	done := make(chan error, 1)
+	go func() { done <- d.Close() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("graceful shutdown: %v", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("daemon Close blocked on an idle tap connection for over 1s")
+	}
+	report, err := notary.FsckDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !report.Healthy() {
+		t.Fatalf("post-shutdown fsck: %v", report.Issues)
 	}
 }

@@ -1,9 +1,14 @@
 // Package collect is the measurement back end: the service Netalyzr
 // sessions report to (§4.1 describes 15,970 such submissions). Clients
-// serialize a session report to a compact wire form and submit it over TCP
-// (newline-delimited JSON); the collector aggregates live tallies — session
-// counts per manufacturer and version, extended-store and untrusted-probe
-// counters, store-size distribution — and answers summary queries.
+// serialize a session report to a compact wire form and submit it; the
+// collector aggregates live tallies — session counts per manufacturer and
+// version, extended-store and untrusted-probe counters, store-size
+// distribution — and answers summary queries.
+//
+// The package is a dispatch table over internal/wire, which owns the
+// transport (line-framed JSON over TCP, reconnect and retry, bounded
+// shutdown) and the idempotency window. What lives here is the protocol:
+// the request/response types, the submit/summary dispatch, and the API.
 package collect
 
 import (

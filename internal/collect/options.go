@@ -3,7 +3,6 @@ package collect
 import (
 	"context"
 	"net"
-	"time"
 
 	"tangledmass/internal/obs"
 	"tangledmass/internal/resilient"
@@ -15,7 +14,6 @@ import (
 // single uniform New(addr, ...Option) shape.
 type options struct {
 	observer    *obs.Observer
-	timeout     time.Duration
 	retry       *resilient.Retrier
 	dial        func(ctx context.Context, addr string) (net.Conn, error)
 	keepReports bool
@@ -29,12 +27,6 @@ type Option func(*options)
 // debug handler always work) and the client stays silent.
 func WithObserver(o *obs.Observer) Option {
 	return func(op *options) { op.observer = o }
-}
-
-// WithTimeout bounds one client round trip. Zero (the default) means one
-// minute. Server-side it is ignored.
-func WithTimeout(d time.Duration) Option {
-	return func(op *options) { op.timeout = d }
 }
 
 // WithRetryPolicy overrides the client's retry policy. Nil (the default)

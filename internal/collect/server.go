@@ -1,14 +1,12 @@
 package collect
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
-	"net"
 	"sync"
-	"time"
 
 	"tangledmass/internal/obs"
+	"tangledmass/internal/wire"
 )
 
 // wire messages: {"op":"submit","report":{...}} and {"op":"summary"};
@@ -27,24 +25,20 @@ type response struct {
 	Summary *Summary `json:"summary,omitempty"`
 }
 
-// seenCap bounds the idempotency-ID window; retries follow failures within
-// seconds, so a few thousand recent IDs is plenty.
-const seenCap = 4096
+// Status implements wire.Reply.
+func (r response) Status() (bool, string) { return r.OK, r.Error }
 
 // Server is the collection endpoint. Construct with NewServer.
 type Server struct {
-	ln  net.Listener
-	obs *obs.Observer
+	ws   *wire.Server
+	obs  *obs.Observer
+	seen wire.Window
 
-	mu        sync.Mutex
-	sum       Summary
-	closed    bool
-	reports   []WireReport
-	wg        sync.WaitGroup
-	keepAll   bool
-	conns     map[net.Conn]bool
-	seen      map[string]bool
-	seenOrder []string
+	mu      sync.Mutex
+	sum     Summary
+	closed  bool
+	reports []WireReport
+	keepAll bool
 }
 
 // NewServer starts a collector on addr ("127.0.0.1:0" for an ephemeral
@@ -53,29 +47,25 @@ type Server struct {
 // debug handler always have something to serve).
 func NewServer(addr string, opts ...Option) (*Server, error) {
 	op := buildOptions(opts)
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("collect: listening on %s: %w", addr, err)
-	}
 	observer := op.observer
 	if observer == nil {
 		observer = obs.New()
 	}
-	s := &Server{
-		ln:      ln,
-		obs:     observer,
-		sum:     newSummary(),
-		keepAll: op.keepReports,
-		conns:   make(map[net.Conn]bool),
-		seen:    make(map[string]bool),
+	s := &Server{obs: observer, sum: newSummary(), keepAll: op.keepReports}
+	ws, err := wire.Listen(addr, wire.ServerConfig{
+		Name:   "collect",
+		Handle: s.handle,
+		Active: observer.Gauge(KeyConnsActive),
+	})
+	if err != nil {
+		return nil, err
 	}
-	s.wg.Add(1)
-	go s.acceptLoop()
+	s.ws = ws
 	return s, nil
 }
 
 // Addr returns the listening address.
-func (s *Server) Addr() string { return s.ln.Addr().String() }
+func (s *Server) Addr() string { return s.ws.Addr() }
 
 // Observer returns the server's observer — the daemons mount obs.Handler
 // on it.
@@ -92,19 +82,9 @@ func (s *Server) Snapshot() obs.Snapshot { return s.obs.Snapshot() }
 // their read deadlines.
 func (s *Server) Close() error {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
 	s.closed = true
-	for conn := range s.conns {
-		// Expire pending reads now; handlers drain and exit.
-		_ = conn.SetReadDeadline(time.Unix(1, 0))
-	}
 	s.mu.Unlock()
-	err := s.ln.Close()
-	s.wg.Wait()
-	return err
+	return s.ws.Close()
 }
 
 // Summary returns a copy of the live aggregate.
@@ -123,93 +103,14 @@ func (s *Server) Reports() []WireReport {
 	return out
 }
 
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			return
-		}
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.handle(conn)
-		}()
+// handle decodes one request line for dispatch (wire.Handler).
+func (s *Server) handle(line []byte) any {
+	var req request
+	if err := json.Unmarshal(line, &req); err != nil {
+		s.obs.Counter(KeyBadRequest).Inc()
+		return response{Error: "bad request: " + err.Error()}
 	}
-}
-
-// armRead sets the idle deadline for the next request, or reports false if
-// the server has closed — the deadline and the closed flag share the mutex
-// so Close cannot re-arm a connection it just expired.
-func (s *Server) armRead(conn net.Conn) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return false
-	}
-	return conn.SetReadDeadline(time.Now().Add(2*time.Minute)) == nil
-}
-
-func (s *Server) handle(conn net.Conn) {
-	defer conn.Close()
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.conns[conn] = true
-	s.mu.Unlock()
-	s.obs.Gauge(KeyConnsActive).Inc()
-	defer func() {
-		s.obs.Gauge(KeyConnsActive).Dec()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
-
-	scanner := bufio.NewScanner(conn)
-	scanner.Buffer(make([]byte, 64<<10), 8<<20)
-	enc := json.NewEncoder(conn)
-	for {
-		if !s.armRead(conn) {
-			return
-		}
-		if !scanner.Scan() {
-			return
-		}
-		var req request
-		var resp response
-		if err := json.Unmarshal(scanner.Bytes(), &req); err != nil {
-			s.obs.Counter(KeyBadRequest).Inc()
-			resp = response{Error: "bad request: " + err.Error()}
-		} else {
-			resp = s.dispatch(req)
-		}
-		if err := conn.SetWriteDeadline(time.Now().Add(time.Minute)); err != nil {
-			return
-		}
-		if err := enc.Encode(resp); err != nil {
-			return
-		}
-	}
-}
-
-// duplicateLocked records id and reports whether it was already seen.
-// Requests without an ID are never deduplicated. Callers hold s.mu.
-func (s *Server) duplicateLocked(id string) bool {
-	if id == "" {
-		return false
-	}
-	if s.seen[id] {
-		return true
-	}
-	s.seen[id] = true
-	s.seenOrder = append(s.seenOrder, id)
-	if len(s.seenOrder) > seenCap {
-		delete(s.seen, s.seenOrder[0])
-		s.seenOrder = s.seenOrder[1:]
-	}
-	return false
+	return s.dispatch(req)
 }
 
 func (s *Server) dispatch(req request) response {
@@ -228,15 +129,18 @@ func (s *Server) dispatch(req request) response {
 			return response{Error: "collector closed"}
 		}
 		// Acknowledge a re-sent submission whose response was lost without
-		// double-counting it.
-		if s.duplicateLocked(req.ID) {
+		// double-counting it. s.mu serializes submits, so a duplicate never
+		// finds its ID still pending.
+		dup, _ := s.seen.Do(req.ID, func() error {
+			s.obs.Counter(KeySubmitTotal).Inc()
+			s.sum.absorb(*req.Report)
+			if s.keepAll {
+				s.reports = append(s.reports, *req.Report)
+			}
+			return nil
+		})
+		if dup {
 			s.obs.Counter(KeySubmitDedupe).Inc()
-			return response{OK: true}
-		}
-		s.obs.Counter(KeySubmitTotal).Inc()
-		s.sum.absorb(*req.Report)
-		if s.keepAll {
-			s.reports = append(s.reports, *req.Report)
 		}
 		return response{OK: true}
 	case "summary":

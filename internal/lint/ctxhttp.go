@@ -5,8 +5,8 @@ import (
 )
 
 // CtxHTTP keeps the long-running network services cancellable. The
-// collector, FOTA endpoint, notary service, TLS origin, and interception
-// proxy all hold goroutines per connection; a dial or request without a
+// collector, FOTA endpoint, notary service, their shared wire transport,
+// TLS origin, and interception proxy all hold goroutines per connection; a dial or request without a
 // timeout or context in those packages is a goroutine leak waiting for one
 // unresponsive peer. Use net.DialTimeout, a net.Dialer with Timeout or
 // DialContext, or an http.Client with Timeout instead.
@@ -23,6 +23,7 @@ var ctxHTTPPackages = map[string]bool{
 	"notarynet": true,
 	"tlsnet":    true,
 	"mitm":      true,
+	"wire":      true,
 }
 
 // ctxHTTPCallees block without a deadline: the package-level http helpers

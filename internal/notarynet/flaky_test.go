@@ -122,15 +122,20 @@ func TestClientReconnectsAfterDeadline(t *testing.T) {
 	if err == nil {
 		t.Fatal("observe through an always-stalling transport should fail")
 	}
-	if !c.broken {
-		t.Error("transport should be marked broken after a deadline failure")
-	}
 	// Dials: the eager connect, then one reconnect for the second attempt —
 	// the first attempt reuses the eager transport, and the stall poisons
 	// each one before a response lands.
 	dials := in.Dials()
 	if len(dials) != 1 || dials[0].Target != "notary" || dials[0].Count != 2 {
 		t.Errorf("dials = %+v, want notary dialed exactly twice", dials)
+	}
+	// The deadline failure left the transport marked broken: the next
+	// round trip's first attempt reconnects instead of reusing it.
+	if err := c.Observe(context.Background(), []*x509.Certificate{leaves[0], root.Cert}, 443); err == nil {
+		t.Fatal("observe through an always-stalling transport should fail")
+	}
+	if dials := in.Dials(); len(dials) != 1 || dials[0].Count != 4 {
+		t.Errorf("dials = %+v, want both attempts of the second observe to redial", dials)
 	}
 
 	// A healthy transport heals the client: swap the dialer is not possible,

@@ -17,7 +17,6 @@ type options struct {
 	ingester       Ingester
 	timeout        time.Duration
 	retry          *resilient.Retrier
-	breaker        *resilient.Breaker
 	disableBreaker bool
 	dial           func(ctx context.Context, addr string) (net.Conn, error)
 }
@@ -51,12 +50,6 @@ func WithTimeout(d time.Duration) Option {
 // means 4 attempts with short jittered backoff.
 func WithRetryPolicy(r *resilient.Retrier) Option {
 	return func(op *options) { op.retry = r }
-}
-
-// WithBreaker overrides the client's circuit breaker. The default is 5
-// consecutive round-trip failures opening the circuit for a second.
-func WithBreaker(b *resilient.Breaker) Option {
-	return func(op *options) { op.breaker = b }
 }
 
 // WithoutBreaker runs the client with no circuit breaker — deterministic

@@ -4,9 +4,12 @@
 // networks stream observed chains to a central service, and analysis
 // clients query it.
 //
-// The wire protocol is newline-delimited JSON over TCP. Every request
-// carries an "op"; certificates travel as base64 DER. One response line
-// answers each request, so a connection can pipeline.
+// The package is a dispatch table over internal/wire, which owns the
+// transport (newline-delimited JSON over TCP, one response line per
+// request, reconnect and retry, bounded shutdown) and the idempotency
+// window. What lives here is the protocol: every request carries an "op",
+// certificates travel as base64 DER, and dispatch maps each op onto the
+// server's View (reads) or Ingester (writes).
 package notarynet
 
 import (
@@ -62,6 +65,9 @@ type Response struct {
 	// Applied is how many observations an observe_batch recorded.
 	Applied int `json:"applied,omitempty"`
 }
+
+// Status implements wire.Reply.
+func (r Response) Status() (bool, string) { return r.OK, r.Error }
 
 // BatchItem is one observation inside an observe_batch request.
 type BatchItem struct {

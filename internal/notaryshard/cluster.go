@@ -15,11 +15,8 @@ import (
 	"tangledmass/internal/obs"
 	"tangledmass/internal/parallel"
 	"tangledmass/internal/rootstore"
+	"tangledmass/internal/wire"
 )
-
-// seenCap bounds each shard's idempotency-ID window, mirroring the
-// notarynet server's. Retried batches follow failures within seconds.
-const seenCap = 4096
 
 // Option configures a Cluster.
 type Option func(*options)
@@ -49,13 +46,11 @@ type shard struct {
 	n        *notary.Notary
 	db       *notary.DB // nil for an in-memory shard
 	observer *obs.Observer
-
-	mu        sync.Mutex
-	seen      map[string]bool
-	seenOrder []string
+	seen     wire.Window
 
 	// failNext, when non-nil, fails the next apply once — a white-box test
 	// seam for exercising the router's retry/idempotency path.
+	mu       sync.Mutex
 	failNext error
 }
 
@@ -91,7 +86,6 @@ func New(at time.Time, nShards int, opts ...Option) (*Cluster, error) {
 			n: notary.New(at, notary.WithCorpus(op.c), notary.WithObserver(so),
 				notary.WithWorkers(op.workers)),
 			observer: so,
-			seen:     make(map[string]bool),
 		}
 	}
 	return cl, nil
@@ -119,7 +113,7 @@ func Open(fsys faultfs.FS, dir string, at time.Time, nShards int, opts ...Option
 			}
 			return nil, fmt.Errorf("notaryshard: opening shard %d: %w", i, err)
 		}
-		cl.shards[i] = &shard{n: db.Notary(), db: db, observer: so, seen: make(map[string]bool)}
+		cl.shards[i] = &shard{n: db.Notary(), db: db, observer: so}
 	}
 	return cl, nil
 }
@@ -189,35 +183,6 @@ func (cl *Cluster) shardIndexFor(cert *x509.Certificate) int {
 	return ShardFor(cl.c.Entry(ref).Digest, len(cl.shards))
 }
 
-// sawID reports whether the shard already committed a batch under id,
-// recording it if not. Mirrors the notarynet server's window; IDs are
-// forgotten on failed applies by the caller never marking them.
-func (sh *shard) sawID(id string) bool {
-	if id == "" {
-		return false
-	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.seen[id]
-}
-
-func (sh *shard) markID(id string) {
-	if id == "" {
-		return
-	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if sh.seen[id] {
-		return
-	}
-	sh.seen[id] = true
-	sh.seenOrder = append(sh.seenOrder, id)
-	if len(sh.seenOrder) > seenCap {
-		delete(sh.seen, sh.seenOrder[0])
-		sh.seenOrder = sh.seenOrder[1:]
-	}
-}
-
 // apply commits a batch to this shard: through the journal when durable
 // (all-or-nothing group commit), directly into memory otherwise. A fenced
 // journal (ErrJournalFailed) gets one checkpoint-and-retry — the
@@ -265,10 +230,10 @@ func (cl *Cluster) ObserveAll(batch []notary.Observation) error {
 }
 
 // ObserveBatch is ObserveAll carrying the request's idempotency ID
-// (notarynet.BatchIngester). Each shard remembers IDs it has committed:
-// when a retry arrives after a mid-batch failure, shards that already
-// applied their slice skip it, shards that failed apply it — the batch
-// lands exactly once per shard.
+// (notarynet.BatchIngester). Each shard's wire.Window remembers IDs it has
+// committed: when a retry arrives after a mid-batch failure, shards that
+// already applied their slice skip it, shards that failed apply it — the
+// batch lands exactly once per shard.
 func (cl *Cluster) ObserveBatch(id string, batch []notary.Observation) error {
 	if len(batch) == 0 {
 		return nil
@@ -287,14 +252,13 @@ func (cl *Cluster) ObserveBatch(id string, batch []notary.Observation) error {
 			return nil
 		}
 		sh := cl.shards[i]
-		if sh.sawID(id) {
-			cl.observer.Counter(KeyBatchDedupe).Inc()
-			return nil
-		}
-		if err := sh.apply(groups[i]); err != nil {
+		dup, err := sh.seen.Do(id, func() error { return sh.apply(groups[i]) })
+		if err != nil {
 			return fmt.Errorf("notaryshard: shard %d: %w", i, err)
 		}
-		sh.markID(id)
+		if dup {
+			cl.observer.Counter(KeyBatchDedupe).Inc()
+		}
 		return nil
 	}, parallel.WithWorkers(cl.routeWorkers()))
 	ms := float64(time.Since(start)) / float64(time.Millisecond)
