@@ -8,7 +8,7 @@ GO ?= go
 # a different file with `make bench-gate BENCH_BASELINE=BENCH_prX.json`.
 BENCH_BASELINE ?= BENCH_pr10.json
 
-.PHONY: build test lint lint-baseline vet chaos crash metrics-smoke dataset-smoke bench bench-gate slo-gate verify ci
+.PHONY: build test lint lint-baseline vet repeat chaos crash metrics-smoke dataset-smoke bench bench-gate slo-gate verify ci
 
 build:
 	$(GO) build ./...
@@ -28,6 +28,11 @@ lint-baseline:
 
 test:
 	$(GO) test -race ./...
+
+# The repeat gate: run the tests that share the process-wide corpus twice in
+# one process, so a test comparing certificates by pointer fails here.
+repeat:
+	$(GO) test -count=2 ./internal/chain ./internal/rootstore ./internal/trusteval ./internal/corpus ./internal/dataset
 
 # The chaos gate: the full pipeline under an injected fault plan, asserting
 # determinism, graceful degradation, and unskewed aggregates.

@@ -197,9 +197,7 @@ func (a *headlinesAgg) Add(b Batch) {
 		if h.MissingCount > 0 {
 			a.missing++
 		}
-		for _, id := range h.Store.Identities() {
-			a.roots[id] = true
-		}
+		h.Store.Each(func(id certid.Identity) { a.roots[id] = true })
 	}
 	for _, s := range b.Sessions {
 		a.sessions++
@@ -331,9 +329,9 @@ func (a *table5Agg) Add(b Batch) {
 	// deterministic because batches Add in fleet order and Merge keeps the
 	// earlier aggregate's sighting.
 	for _, h := range b.Handsets {
-		for _, id := range h.Store.Identities() {
+		h.Store.Each(func(id certid.Identity) {
 			if a.aosp44.ContainsIdentity(id) {
-				continue
+				return
 			}
 			t := a.counts[id]
 			if t == nil {
@@ -348,7 +346,7 @@ func (a *table5Agg) Add(b Batch) {
 			} else {
 				t.nonRooted++
 			}
-		}
+		})
 	}
 }
 

@@ -64,10 +64,10 @@ func (e *Engine) RoamingCandidates(p *population.Population) []RoamingCandidate 
 				if h.Rooted {
 					continue
 				}
-				for _, id := range h.Store.Identities() {
+				h.Store.Each(func(id certid.Identity) {
 					own, ok := owners[id]
 					if !ok || own.owner == h.Operator {
-						continue
+						return
 					}
 					out = append(out, RoamingCandidate{
 						HandsetID:       h.ID,
@@ -77,7 +77,7 @@ func (e *Engine) RoamingCandidates(p *population.Population) []RoamingCandidate 
 						RootOwner:       own.owner,
 						RootName:        own.name,
 					})
-				}
+				})
 			}
 			return out
 		},

@@ -631,6 +631,10 @@ func decodeColumns(cd *columnarDir) (*columns, error) {
 			return err
 		}
 		dst.start = make([]int, n+1)
+		// Every member count and every delta takes at least one byte, so
+		// the bytes left after the counts bound the member total: the
+		// column is allocated once instead of grown by append.
+		dst.flat = make([]uint32, 0, max(len(buf)-cb.off-n, 0))
 		for i := 0; i < n; i++ {
 			k, err := cb.uvarint()
 			if err != nil {
@@ -753,8 +757,8 @@ func readColumnar(ctx context.Context, dir string, cfg config) (*population.Popu
 
 	// Firmware memberships repeat heavily across handsets, so each worker
 	// shard assembles one prototype store per distinct membership row and
-	// stamps per-handset copies off it with the wholesale Clone — the map is
-	// built once per distinct row instead of once per handset. The scratch
+	// stamps per-handset copies off it with the copy-on-write Clone — the
+	// map is built once per distinct row instead of once per handset. The scratch
 	// key buffer makes the cache lookup allocation-free; a key is only
 	// retained when a new prototype is inserted.
 	type shardState struct {

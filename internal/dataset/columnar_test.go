@@ -6,9 +6,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"tangledmass/internal/analysis"
+	"tangledmass/internal/corpus"
 	"tangledmass/internal/obs"
 	"tangledmass/internal/population"
 	"tangledmass/internal/rootstore"
@@ -59,22 +61,25 @@ func TestColumnarRoundTrip(t *testing.T) {
 	}
 }
 
-// artifacts marshals every population-only analysis artifact; byte equality
-// of the JSON is the cross-format golden check.
-func artifacts(t *testing.T, p *population.Population) []byte {
+// artifacts marshals every population-only analysis artifact computed on
+// e; byte equality of the JSON is the cross-format golden check.
+func artifacts(t *testing.T, e *analysis.Engine, p *population.Population) []byte {
 	t.Helper()
-	devices, manufacturers := analysis.Table2(p, 10)
+	devices, manufacturers := e.Table2(p, 10)
 	doc := map[string]any{
-		"headlines":     analysis.ComputeHeadlines(p),
+		"headlines":     e.ComputeHeadlines(p),
 		"devices":       devices,
 		"manufacturers": manufacturers,
-		"figure1":       analysis.Figure1(p),
-		"figure2":       analysis.Figure2(p, nil, 10),
-		"months":        analysis.SessionsPerMonth(p),
-		"table5":        analysis.Table5(p),
+		"figure1":       e.Figure1(p),
+		"figure2":       e.Figure2(p, nil, 10),
+		"months":        e.SessionsPerMonth(p),
+		"table5":        e.Table5(p),
+		"missing":       e.MissingHandsets(p),
+		"roaming":       e.RoamingCandidates(p),
+		"unique_roots":  p.UniqueRootIdentities(),
 		// Depends on the serialized app profiles: byte equality here proves
 		// the policy column round-trips in both formats.
-		"trust_attribution": analysis.ComputeTrustAttribution(p),
+		"trust_attribution": e.ComputeTrustAttribution(p),
 	}
 	b, err := json.Marshal(doc)
 	if err != nil {
@@ -89,7 +94,7 @@ func TestCrossFormatGoldenArtifacts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := artifacts(t, p)
+		want := artifacts(t, analysis.NewEngine(), p)
 		jsonlDir, colDir := t.TempDir(), t.TempDir()
 		ctx := context.Background()
 		if err := NewWriter(jsonlDir, WithFormat(JSONL)).Write(ctx, p); err != nil {
@@ -103,9 +108,34 @@ func TestCrossFormatGoldenArtifacts(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d %s: %v", seed, name, err)
 			}
-			if got := artifacts(t, back); string(got) != string(want) {
+			if got := artifacts(t, analysis.NewEngine(), back); string(got) != string(want) {
 				t.Errorf("seed %d: %s round-trip changed analysis artifacts", seed, name)
 			}
+		}
+	}
+}
+
+// TestReanalysisArtifactsIdenticalAcrossWorkers is the reanalysis gate: a
+// columnar load into a fresh corpus, analysed at 1, 2 and 4 workers, yields
+// artifacts byte-identical to the in-memory population's. The loader shards
+// its prototype stores by GOMAXPROCS, so that is set to the worker count
+// too: every shard layout stamps out clones that must stay independent.
+func TestReanalysisArtifactsIdenticalAcrossWorkers(t *testing.T) {
+	p, err := population.Generate(population.Config{Seed: 4, SessionScale: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := artifacts(t, analysis.NewEngine(analysis.WithWorkers(1)), p)
+	dir := writeColumnarDir(t, p)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, workers := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(workers)
+		back, err := NewReader(dir, WithCorpus(corpus.New()), WithUniverse(p.Universe)).Read(context.Background())
+		if err != nil {
+			t.Fatalf("workers %d: %v", workers, err)
+		}
+		if got := artifacts(t, analysis.NewEngine(analysis.WithWorkers(workers)), back); string(got) != string(want) {
+			t.Errorf("workers %d: reanalysis artifacts differ from the in-memory population's", workers)
 		}
 	}
 }

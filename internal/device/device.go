@@ -87,9 +87,7 @@ func Restore(profile Profile, system, user *rootstore.Store, rooted bool) *Devic
 	// survives a round trip; rooted system-store writes are not
 	// distinguishable from firmware in a snapshot and stay unrecorded
 	// (population.Handset.TamperChannel carries that bit instead).
-	for _, id := range user.Identities() {
-		d.channels[id] = ChannelUser
-	}
+	user.Each(func(id certid.Identity) { d.channels[id] = ChannelUser })
 	return d
 }
 
@@ -166,9 +164,7 @@ func (d *Device) EffectiveStore() *rootstore.Store {
 		eff := d.system.Clone(name)
 		if d.user.Len() > 0 {
 			if d.user.Corpus() == eff.Corpus() {
-				for _, id := range d.user.Identities() {
-					eff.AddRef(d.user.Ref(id))
-				}
+				d.user.Each(func(id certid.Identity) { eff.AddRef(d.user.Ref(id)) })
 			} else {
 				for _, c := range d.user.Certificates() {
 					eff.Add(c)
@@ -180,11 +176,11 @@ func (d *Device) EffectiveStore() *rootstore.Store {
 	eff := rootstore.NewSized(name, d.system.Corpus(), d.system.Len()+d.user.Len())
 	for _, s := range []*rootstore.Store{d.system, d.user} {
 		if s.Corpus() == eff.Corpus() {
-			for _, id := range s.Identities() {
+			s.Each(func(id certid.Identity) {
 				if !d.disabled[id] {
 					eff.AddRef(s.Ref(id))
 				}
-			}
+			})
 			continue
 		}
 		for _, c := range s.Certificates() {

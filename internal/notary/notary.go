@@ -487,9 +487,7 @@ func (n *Notary) Validate(stores ...*rootstore.Store) []*StoreReport {
 	reports := make([]*StoreReport, len(stores))
 	for si, s := range stores {
 		rep := &StoreReport{Store: s, PerRoot: make(map[certid.Identity]int, s.Len())}
-		for _, id := range s.Identities() {
-			rep.PerRoot[id] = perRoot[id]
-		}
+		s.Each(func(id certid.Identity) { rep.PerRoot[id] = perRoot[id] })
 		for _, a := range attrs {
 			for _, id := range a.Roots {
 				if s.ContainsIdentity(id) {

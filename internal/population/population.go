@@ -20,6 +20,7 @@ import (
 	"tangledmass/internal/cauniverse"
 	"tangledmass/internal/certgen"
 	"tangledmass/internal/certid"
+	"tangledmass/internal/corpus"
 	"tangledmass/internal/device"
 	"tangledmass/internal/parallel"
 	"tangledmass/internal/rootstore"
@@ -398,20 +399,25 @@ func (p *Population) finalizeHandsets(u *cauniverse.Universe) {
 	// once per distinct (version, membership) pair and fans the counts out.
 	// Compare by precomputed identity: no certificate is re-interned or
 	// re-fingerprinted here.
+	type storeKey struct {
+		version string
+		digest  corpus.Digest
+		n       int
+	}
 	type storeCounts struct{ aosp, extra, missing int }
-	cache := map[string]storeCounts{}
+	cache := map[storeKey]storeCounts{}
 	for _, h := range p.Handsets {
-		key := h.Version + "\x00" + h.Store.ContentKey()
+		key := storeKey{h.Version, h.Store.ContentDigest(), h.Store.Len()}
 		c, ok := cache[key]
 		if !ok {
 			aosp := u.AOSP(h.Version)
-			for _, id := range h.Store.Identities() {
+			h.Store.Each(func(id certid.Identity) {
 				if aosp.ContainsIdentity(id) {
 					c.aosp++
 				} else {
 					c.extra++
 				}
-			}
+			})
 			c.missing = aosp.Len() - c.aosp
 			cache[key] = c
 		}
@@ -488,9 +494,7 @@ func (p *Population) UniqueRootIdentities() int {
 		func() map[certid.Identity]bool { return map[certid.Identity]bool{} },
 		func(seen map[certid.Identity]bool, start, end int) map[certid.Identity]bool {
 			for i := start; i < end; i++ {
-				for _, id := range p.Handsets[i].Store.Identities() {
-					seen[id] = true
-				}
+				p.Handsets[i].Store.Each(func(id certid.Identity) { seen[id] = true })
 			}
 			return seen
 		},

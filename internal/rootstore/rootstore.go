@@ -12,6 +12,12 @@
 // certificate corpus: the store never re-parses or re-fingerprints a
 // certificate, and its pool content key is maintained incrementally on
 // Add/Remove instead of re-sorting and re-hashing the whole pool.
+//
+// Clone is copy-on-write: a clone shares its source's membership until
+// either of them is mutated, so stamping thousands of per-device stores
+// out of a few prototypes costs no copying. Cloning one store from many
+// goroutines at once is safe; mutating a store while another goroutine
+// reads or clones it is not.
 package rootstore
 
 import (
@@ -21,6 +27,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"sync/atomic"
 
 	"tangledmass/internal/certid"
 	"tangledmass/internal/corpus"
@@ -38,6 +45,10 @@ type Store struct {
 	// order-independent fingerprint of the exact membership bytes,
 	// updated on Add and Remove. chain derives its pool keys from it.
 	digest corpus.Digest
+	// shared is set by Clone on both the source and the clone: order and
+	// byID may then be referenced by another store, so the first mutation
+	// copies them. It is atomic because many goroutines clone one base.
+	shared atomic.Bool
 }
 
 // New returns an empty store with the given name, interning into the
@@ -90,6 +101,7 @@ func (s *Store) AddRef(ref corpus.Ref) bool {
 	if _, ok := s.byID[e.Identity]; ok {
 		return false
 	}
+	s.unshare()
 	s.byID[e.Identity] = ref
 	s.order = append(s.order, e.Identity)
 	s.digest.XOR(e.Digest)
@@ -114,6 +126,7 @@ func (s *Store) Remove(id certid.Identity) bool {
 	if !ok {
 		return false
 	}
+	s.unshare()
 	delete(s.byID, id)
 	for i, o := range s.order {
 		if o == id {
@@ -174,6 +187,14 @@ func (s *Store) Identities() []certid.Identity {
 	return out
 }
 
+// Each calls fn for every identity in insertion order without allocating.
+// fn must not mutate the store.
+func (s *Store) Each(fn func(certid.Identity)) {
+	for _, id := range s.order {
+		fn(id)
+	}
+}
+
 // ContentKey is an order-independent fingerprint of the exact membership
 // bytes, maintained incrementally: adding a member XORs its content digest
 // in, removing XORs it back out. Two stores with equal ContentKeys hold
@@ -186,21 +207,26 @@ func (s *Store) ContentKey() string {
 // ContentDigest returns the raw XOR accumulator behind ContentKey.
 func (s *Store) ContentDigest() corpus.Digest { return s.digest }
 
-// Clone returns a deep copy of the membership (certificates themselves are
-// shared through the corpus, which treats them as immutable). The index map
-// is cloned wholesale — no per-entry rehashing — so cloning is cheap enough
-// to stamp out per-device stores from a shared prototype.
+// Clone returns a copy of the membership under a new name (certificates
+// themselves are shared through the corpus, which treats them as
+// immutable). The copy is O(1): the clone shares the source's index and
+// order until either store is mutated, and the mutating store copies them
+// first. Any number of goroutines may clone one store concurrently, as
+// long as none mutates it meanwhile.
 func (s *Store) Clone(name string) *Store {
-	byID := maps.Clone(s.byID)
-	if byID == nil {
-		byID = make(map[certid.Identity]corpus.Ref)
-	}
-	return &Store{
-		name:   name,
-		c:      s.c,
-		order:  slices.Clone(s.order),
-		byID:   byID,
-		digest: s.digest,
+	s.shared.Store(true)
+	c := &Store{name: name, c: s.c, order: s.order, byID: s.byID, digest: s.digest}
+	c.shared.Store(true)
+	return c
+}
+
+// unshare gives s its own index and order before a mutation when Clone may
+// have handed them to another store.
+func (s *Store) unshare() {
+	if s.shared.Load() {
+		s.byID = maps.Clone(s.byID)
+		s.order = slices.Clone(s.order)
+		s.shared.Store(false)
 	}
 }
 

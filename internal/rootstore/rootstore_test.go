@@ -4,6 +4,7 @@ import (
 	"crypto/x509"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -79,7 +80,7 @@ func TestAddEquivalentRejected(t *testing.T) {
 	if s.Add(re.Cert) {
 		t.Error("equivalent (reissued) cert should be rejected as duplicate")
 	}
-	if got := s.Get(certid.IdentityOf(re.Cert)); got != orig.Cert {
+	if got := s.Get(certid.IdentityOf(re.Cert)); !got.Equal(orig.Cert) {
 		t.Error("first-seen instance should win")
 	}
 }
@@ -92,7 +93,7 @@ func TestInsertionOrderPreserved(t *testing.T) {
 	}
 	got := s.Certificates()
 	for i := range certs {
-		if got[i] != certs[i] {
+		if !got[i].Equal(certs[i]) {
 			t.Fatalf("order violated at %d", i)
 		}
 	}
@@ -178,6 +179,134 @@ func TestEqualAndClone(t *testing.T) {
 	b.Add(testCerts(t, 7, 1)[0])
 	if Equal(a, b) {
 		t.Error("stores with different members should not be Equal")
+	}
+}
+
+// storeState is everything observable about a store's membership.
+type storeState struct {
+	n   int
+	ids []certid.Identity
+	key string
+}
+
+func stateOf(s *Store) storeState {
+	return storeState{n: s.Len(), ids: s.Identities(), key: s.ContentKey()}
+}
+
+// assertState checks s against want: length, order, content key, and
+// membership of every certificate in universe.
+func assertState(t *testing.T, label string, s *Store, want storeState, universe []*x509.Certificate) {
+	t.Helper()
+	got := stateOf(s)
+	if got.n != want.n || got.key != want.key || len(got.ids) != len(want.ids) {
+		t.Fatalf("%s: len %d key %s, want len %d key %s", label, got.n, got.key, want.n, want.key)
+	}
+	member := map[certid.Identity]bool{}
+	for i, id := range want.ids {
+		if got.ids[i] != id {
+			t.Fatalf("%s: order differs at %d", label, i)
+		}
+		member[id] = true
+	}
+	for i, c := range universe {
+		if id := certid.IdentityOf(c); s.ContainsIdentity(id) != member[id] {
+			t.Fatalf("%s: membership of certificate %d is %v, want %v", label, i, !member[id], member[id])
+		}
+	}
+}
+
+// TestCloneCopyOnWrite mutates one side of a clone pair — the clone, the
+// source, or a clone of a clone — and checks the other sides are untouched.
+// The source is built with spare capacity so an append through a shared
+// order slice would land in the other store's backing array.
+func TestCloneCopyOnWrite(t *testing.T) {
+	certs := testCerts(t, 9, 6)
+	mutations := map[string]func(s *Store){
+		"add":           func(s *Store) { s.Add(certs[5]) },
+		"remove-middle": func(s *Store) { s.Remove(certid.IdentityOf(certs[1])) },
+		"remove-add":    func(s *Store) { s.Remove(certid.IdentityOf(certs[0])); s.Add(certs[5]) },
+	}
+	labels := []string{"source", "clone", "clone-of-clone"}
+	for name, mutate := range mutations {
+		t.Run(name, func(t *testing.T) {
+			for target, label := range labels {
+				src := NewSized("src", New("").Corpus(), 16)
+				src.AddAll(certs[:4])
+				clone := src.Clone("clone")
+				stores := []*Store{src, clone, clone.Clone("grand")}
+				before := stateOf(src)
+				mutate(stores[target])
+				if stateOf(stores[target]).key == before.key {
+					t.Fatalf("%s: mutation had no effect", label)
+				}
+				for i, s := range stores {
+					if i != target {
+						assertState(t, label+" mutated, "+labels[i], s, before, certs)
+					}
+				}
+				// The other stores must stay independently writable.
+				for i, s := range stores {
+					if i != target {
+						s.Add(certs[4])
+					}
+				}
+				if stores[target].ContainsIdentity(certid.IdentityOf(certs[4])) {
+					t.Fatalf("%s: later writes to its siblings leaked into it", label)
+				}
+			}
+		})
+	}
+}
+
+// TestCloneConcurrent clones one base from many goroutines, each mutating
+// its own clone while the others read the base. Run under -race.
+func TestCloneConcurrent(t *testing.T) {
+	certs := testCerts(t, 10, 8)
+	base := New("base")
+	base.AddAll(certs[:6])
+	want := stateOf(base)
+	var wg sync.WaitGroup
+	for g := 0; g < 16; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			c := base.Clone("worker")
+			c.Remove(certid.IdentityOf(certs[g%6]))
+			c.Add(certs[6+g%2])
+			if c.Len() != 6 || base.Len() != 6 {
+				t.Errorf("worker %d: clone len %d, base len %d, want 6 and 6", g, c.Len(), base.Len())
+			}
+			n := 0
+			base.Each(func(id certid.Identity) {
+				if c.ContainsIdentity(id) {
+					n++
+				}
+			})
+			if n != 5 {
+				t.Errorf("worker %d: clone shares %d base members, want 5", g, n)
+			}
+		}(g)
+	}
+	wg.Wait()
+	assertState(t, "base after concurrent clones", base, want, certs)
+}
+
+func TestCloneAndEachAllocs(t *testing.T) {
+	s := New("allocs")
+	s.AddAll(testCerts(t, 11, 5))
+	if n := testing.AllocsPerRun(100, func() { _ = s.Clone("c") }); n > 1 {
+		t.Errorf("Clone allocates %v times, want at most 1", n)
+	}
+	var got []certid.Identity
+	s.Each(func(id certid.Identity) { got = append(got, id) })
+	for i, id := range s.Identities() {
+		if got[i] != id {
+			t.Fatalf("Each order differs from Identities at %d", i)
+		}
+	}
+	count := 0
+	if n := testing.AllocsPerRun(100, func() { s.Each(func(certid.Identity) { count++ }) }); n != 0 {
+		t.Errorf("Each allocates %v times, want 0", n)
 	}
 }
 

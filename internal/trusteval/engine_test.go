@@ -89,7 +89,7 @@ func TestCleanConnection(t *testing.T) {
 	if len(v.Overrides) != 0 {
 		t.Errorf("clean connection recorded overrides %v", v.Overrides)
 	}
-	if len(v.Path) != 3 || v.Path[0] != p.leaf.Cert {
+	if len(v.Path) != 3 || !v.Path[0].Equal(p.leaf.Cert) {
 		t.Errorf("winning path not materialized: %d certs", len(v.Path))
 	}
 	if len(v.RootIDs) != 1 || v.RootIDs[0] != corpus.IdentityOf(p.official.Cert) {

@@ -22,6 +22,13 @@ echo "==> metrics-smoke: debug endpoint sanity"
 echo "==> dataset-smoke: interchange round-trip + corruption rejection"
 ./scripts/dataset_smoke.sh
 
+# The repeat gate: these packages' tests share the process-wide corpus,
+# which hands a second run the certificate instances the first interned, so
+# a test that compares by pointer instead of content passes once and fails
+# on repeat.
+echo "==> repeat: shared-corpus tests run twice in one process"
+go test -count=2 ./internal/chain ./internal/rootstore ./internal/trusteval ./internal/corpus ./internal/dataset
+
 echo "==> chaos: campaign under injected faults"
 go test -race -run TestChaosCampaignDeterministic ./internal/campaign/
 
